@@ -37,6 +37,11 @@ int RootExp::oracleValue(const Env &E) const {
   return Child.peek()->oracleValue(E);
 }
 
+void RootExp::appendChildren(std::vector<Exp *> &Out) const {
+  if (Exp *C = Child.peek())
+    Out.push_back(C);
+}
+
 //===----------------------------------------------------------------------===//
 // PlusExp: EXP0 ::= EXP1 + EXP2
 //===----------------------------------------------------------------------===//
@@ -53,6 +58,11 @@ int PlusExp::oracleValue(const Env &E) const {
   return Lhs.peek()->oracleValue(E) + Rhs.peek()->oracleValue(E);
 }
 
+void PlusExp::appendChildren(std::vector<Exp *> &Out) const {
+  Out.push_back(Lhs.peek());
+  Out.push_back(Rhs.peek());
+}
+
 //===----------------------------------------------------------------------===//
 // MulExp: EXP0 ::= EXP1 * EXP2 (extension)
 //===----------------------------------------------------------------------===//
@@ -65,6 +75,11 @@ Env MulExp::computeEnv(ExprTree &Tree, Exp *) { return Tree.envOf(this); }
 
 int MulExp::oracleValue(const Env &E) const {
   return Lhs.peek()->oracleValue(E) * Rhs.peek()->oracleValue(E);
+}
+
+void MulExp::appendChildren(std::vector<Exp *> &Out) const {
+  Out.push_back(Lhs.peek());
+  Out.push_back(Rhs.peek());
 }
 
 //===----------------------------------------------------------------------===//
@@ -86,6 +101,11 @@ Env LetExp::computeEnv(ExprTree &Tree, Exp *Child) {
 int LetExp::oracleValue(const Env &E) const {
   Env Inner = E.update(Id.peek(), Bind.peek()->oracleValue(E));
   return Body.peek()->oracleValue(Inner);
+}
+
+void LetExp::appendChildren(std::vector<Exp *> &Out) const {
+  Out.push_back(Bind.peek());
+  Out.push_back(Body.peek());
 }
 
 //===----------------------------------------------------------------------===//
@@ -126,53 +146,75 @@ ExprTree::ExprTree(Runtime &RT)
 ExprTree::~ExprTree() = default;
 
 Exp *ExprTree::adopt(std::unique_ptr<Exp> Node) {
-  Exp *Raw = Node.get();
-  Pool.push_back(std::move(Node));
-  return Raw;
+  return own(Node.release());
 }
 
 RootExp *ExprTree::makeRoot(Exp *Child) {
-  auto *N = new RootExp(RT, Child);
-  Pool.emplace_back(N);
+  auto *N = own(new RootExp(RT, Child));
   if (Child)
     Child->Parent.set(N);
   return N;
 }
 
 PlusExp *ExprTree::makePlus(Exp *L, Exp *R) {
-  auto *N = new PlusExp(RT, L, R);
-  Pool.emplace_back(N);
+  auto *N = own(new PlusExp(RT, L, R));
   L->Parent.set(N);
   R->Parent.set(N);
   return N;
 }
 
 MulExp *ExprTree::makeMul(Exp *L, Exp *R) {
-  auto *N = new MulExp(RT, L, R);
-  Pool.emplace_back(N);
+  auto *N = own(new MulExp(RT, L, R));
   L->Parent.set(N);
   R->Parent.set(N);
   return N;
 }
 
 LetExp *ExprTree::makeLet(std::string Id, Exp *Bind, Exp *Body) {
-  auto *N = new LetExp(RT, std::move(Id), Bind, Body);
-  Pool.emplace_back(N);
+  auto *N = own(new LetExp(RT, std::move(Id), Bind, Body));
   Bind->Parent.set(N);
   Body->Parent.set(N);
   return N;
 }
 
 IdExp *ExprTree::makeId(std::string Id) {
-  auto *N = new IdExp(RT, std::move(Id));
-  Pool.emplace_back(N);
-  return N;
+  return own(new IdExp(RT, std::move(Id)));
 }
 
-IntExp *ExprTree::makeInt(int Value) {
-  auto *N = new IntExp(RT, Value);
-  Pool.emplace_back(N);
-  return N;
+IntExp *ExprTree::makeInt(int Value) { return own(new IntExp(RT, Value)); }
+
+void ExprTree::destroy(Exp *Root) {
+  // Breadth-first: each node's children are appended behind it, and the
+  // env instances of exactly those parent/child links are erased with it.
+  std::vector<Exp *> Nodes{Root};
+  if (Exp *P = Root->Parent.peek())
+    EnvAttr.erase(P, Root);
+  for (size_t I = 0; I < Nodes.size(); ++I) {
+    Exp *N = Nodes[I];
+    size_t FirstChild = Nodes.size();
+    N->appendChildren(Nodes);
+    Value.erase(N);
+    for (size_t C = FirstChild; C < Nodes.size(); ++C)
+      EnvAttr.erase(N, Nodes[C]);
+  }
+  // Swap-pop each node out of the pool; overwriting its owning slot
+  // deletes it (when it is the last slot, pop_back does).
+  for (Exp *N : Nodes) {
+    size_t Slot = N->PoolSlot;
+    assert(Slot < Pool.size() && Pool[Slot].get() == N &&
+           "destroying a production this tree does not own");
+    Pool[Slot] = std::move(Pool.back());
+    Pool[Slot]->PoolSlot = Slot;
+    Pool.pop_back();
+  }
+}
+
+std::vector<Exp *> ExprTree::rootsSince(size_t Mark) const {
+  std::vector<Exp *> Roots;
+  for (size_t I = Mark; I < Pool.size(); ++I)
+    if (!Pool[I]->Parent.peek())
+      Roots.push_back(Pool[I].get());
+  return Roots;
 }
 
 Env ExprTree::envOf(Exp *N) {

@@ -70,12 +70,20 @@ public:
 protected:
   friend class ExprTree;
 
+  /// Appends this production's non-null nonterminal children to the
+  /// vector (untracked reads; ExprTree::destroy walks subtrees with it).
+  virtual void appendChildren(std::vector<Exp *> &) const {}
+
   /// The synthesized attribute equation for this production.
   virtual int computeValue(ExprTree &Tree) = 0;
 
   /// The inherited attribute equation: the environment this node passes to
   /// \p Child. Only productions with nonterminal children override it.
   virtual Env computeEnv(ExprTree &Tree, Exp *Child);
+
+private:
+  /// Index in the owning ExprTree's pool (untracked bookkeeping).
+  size_t PoolSlot = 0;
 };
 
 /// ROOT ::= EXP (Algorithm 8's RootExp).
@@ -89,6 +97,7 @@ protected:
   int computeValue(ExprTree &Tree) override;
   Env computeEnv(ExprTree &Tree, Exp *Child) override;
   int oracleValue(const Env &E) const override;
+  void appendChildren(std::vector<Exp *> &Out) const override;
 };
 
 /// EXP0 ::= EXP1 + EXP2 (PlusExp).
@@ -104,6 +113,7 @@ protected:
   int computeValue(ExprTree &Tree) override;
   Env computeEnv(ExprTree &Tree, Exp *Child) override;
   int oracleValue(const Env &E) const override;
+  void appendChildren(std::vector<Exp *> &Out) const override;
 };
 
 /// EXP0 ::= EXP1 * EXP2 (beyond-paper extension; same machinery).
@@ -119,6 +129,7 @@ protected:
   int computeValue(ExprTree &Tree) override;
   Env computeEnv(ExprTree &Tree, Exp *Child) override;
   int oracleValue(const Env &E) const override;
+  void appendChildren(std::vector<Exp *> &Out) const override;
 };
 
 /// EXP0 ::= let ID = EXP1 in EXP2 ni (LetExp). Algorithm 9's LetEnv shows
@@ -137,6 +148,7 @@ protected:
   int computeValue(ExprTree &Tree) override;
   Env computeEnv(ExprTree &Tree, Exp *Child) override;
   int oracleValue(const Env &E) const override;
+  void appendChildren(std::vector<Exp *> &Out) const override;
 };
 
 /// EXP ::= ID (IdExp). Unbound identifiers evaluate to 0.
@@ -185,6 +197,29 @@ public:
   /// CellRefExp) into this tree's ownership.
   Exp *adopt(std::unique_ptr<Exp> Node);
 
+  /// Frees the subtree rooted at \p Root. The Value and EnvAttr instances
+  /// keyed by its nodes (EnvAttr by each parent/child link inside the
+  /// subtree and by the link to Root's parent) are erased first, which
+  /// invalidates their dependents; only then is the memory freed, so a
+  /// production later allocated at a recycled address never hits a stale
+  /// argument-table entry. Each node leaves the pool in O(1).
+  ///
+  /// No live child slot may still point into the subtree. Env entries
+  /// keyed by a link that replaceChild cut earlier are not reached; they
+  /// stay harmless on a recycled address, because a production hands the
+  /// same env to every child except a let's binding, and cutting that
+  /// link invalidated its entry.
+  ///
+  /// Not transactional: inside a batch the journal holds closures over the
+  /// nodes' cells, so a caller retiring a tree there must wait until the
+  /// batch commits or rolls back (as Spreadsheet does).
+  void destroy(Exp *Root);
+
+  /// The parentless productions among those created since \p Mark (a
+  /// size() taken earlier, with no destroy() in between): the roots of
+  /// every tree built since then — after a failed parse, its fragments.
+  std::vector<Exp *> rootsSince(size_t Mark) const;
+
   /// The maintained synthesized attribute: N.value().
   int value(Exp *N) { return Value(N); }
 
@@ -207,9 +242,17 @@ public:
   size_t size() const { return Pool.size(); }
 
 private:
+  /// Takes ownership of a freshly built production.
+  template <typename T> T *own(T *N) {
+    N->PoolSlot = Pool.size();
+    Pool.emplace_back(N);
+    return N;
+  }
+
   Runtime &RT;
   Maintained<int(Exp *)> Value;
   Maintained<Env(Exp *, Exp *)> EnvAttr;
+  /// Every live production; Exp::PoolSlot is each one's index here.
   std::vector<std::unique_ptr<Exp>> Pool;
 };
 

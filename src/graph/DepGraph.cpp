@@ -79,8 +79,6 @@ void DepGraph::registerNode(DepNode &N) {
   StateGuard Guard(*this);
   N.Id = allocNodeSlot(N);
   N.Partition = Partitions.makeSet();
-  if (SerialTag.size() <= N.Partition)
-    SerialTag.resize(N.Partition + 1, 0);
   ++NumLiveNodes;
   ++Stats.NodesCreated;
 }
@@ -507,15 +505,17 @@ void DepGraph::evaluateFor(DepNode &N) {
     DepNode *U = nullptr;
     {
       StateGuard Guard(*this);
-      InconsistentSet *S = findSet(Partitions.find(N.Partition));
+      UnionFind::Id Root = Partitions.find(N.Partition);
+      InconsistentSet *S = findSet(Root);
       if (!S || S->empty())
         break;
-      U = &S->pop(*this);
-      --TotalPending;
+      U = &popPending(Root);
     }
     processNode(*U);
   }
   StateGuard Guard(*this);
+  if (EvalDepth == 1)
+    publishPolicyBytes();
   if (OwnWave) {
     Depth.OwnWave = false; // Closed here; the scope need not repeat it.
     WaveOutcome O = Gov.closeWave(TotalPending);
@@ -567,6 +567,7 @@ WaveOutcome DepGraph::evaluateAll(const WaveBudget &B) {
   }
 
   WaveOutcome O = Gov.closeWave(TotalPending);
+  publishPolicyBytes();
   if (!TxnActive) {
     // Degradation bookkeeping (under a batch the commit path rolls the
     // whole state back instead; no stale values ever escape it).
@@ -595,25 +596,18 @@ void DepGraph::evaluateAllSerial() {
       processNode(U);
     }
   } else {
+    // Every root with pending work is on the drain-root list, once.
+    // Drain the newest-listed root; after each step its (possibly merged)
+    // root moves back to the top, so one partition drains to quiescence
+    // before the evaluator turns to another.
     while (TotalPending > 0 && !DrainAborted) {
       if (governorStop())
         break;
-      if (DirtyRoots.empty()) {
-        // Rebuild from the live sets (roots can go stale across merges).
-        for (UnionFind::Id Root = 0; Root < SetVec.size(); ++Root)
-          if (!SetVec[Root].empty())
-            DirtyRoots.push_back(Root);
-        assert(!DirtyRoots.empty() && "pending count desynchronized");
-      }
-      UnionFind::Id Raw = DirtyRoots.back();
-      DirtyRoots.pop_back();
-      InconsistentSet *S = findSet(Partitions.find(Raw));
-      if (!S || S->empty())
-        continue;
-      DepNode &U = S->pop(*this);
-      --TotalPending;
+      assert(!DirtyRoots.empty() && "pending work on an unlisted root");
+      UnionFind::Id Root = DirtyRoots.back();
+      DepNode &U = popPending(Root);
       processNode(U);
-      DirtyRoots.push_back(Partitions.find(Raw));
+      raiseDirty(Partitions.find(Root));
     }
   }
   --EvalDepth;
@@ -730,6 +724,10 @@ bool DepGraph::commitBatch() {
   TxnActive = false;
   ++Epoch;
   ++Stats.TxnCommitted;
+  std::vector<std::function<void()>> Actions = std::move(CommitActions);
+  CommitActions.clear();
+  for (std::function<void()> &Action : Actions)
+    Action();
   return true;
 }
 
@@ -743,6 +741,7 @@ void DepGraph::rollbackBatch() {
   // pending.
   clearAllPending();
   Journal.clear();
+  CommitActions.clear();
   TxnRollingBack = false;
   TxnActive = false;
   // The restored state is the pre-batch quiescent one: nothing is parked.
@@ -754,6 +753,7 @@ void DepGraph::rollbackBatch() {
   // growth-triggered gauge hooks; re-publish so graph.node_bytes /
   // graph.edge_bytes / pool.high_water reflect the restored state.
   republishMemoryGauges();
+  publishPolicyBytes();
   if (Cfg.VerifyOnRollback)
     for (const std::string &V : verify())
       Diags.error(SourceLocation(), "rollback audit: " + V);
@@ -1007,6 +1007,21 @@ std::vector<std::string> DepGraph::verify() const {
   }
   if (Cfg.Partitioning && !GlobalSet.empty())
     Bad.push_back("global pending set in use while partitioning is enabled");
+  // Drain-root list: exactly the roots with pending work, each once.
+  for (size_t Pos = 0; Pos < DirtyRoots.size(); ++Pos) {
+    UnionFind::Id Root = DirtyRoots[Pos];
+    if (Root >= SetVec.size() || SetVec[Root].DirtyPos != Pos)
+      Bad.push_back("drain-root list entry " + std::to_string(Root) +
+                    " disagrees with its set's list position");
+    else if (SetVec[Root].empty())
+      Bad.push_back("drain-root list holds drained root " +
+                    std::to_string(Root));
+  }
+  for (UnionFind::Id Slot = 0; Slot < SetVec.size(); ++Slot)
+    if (!SetVec[Slot].empty() &&
+        SetVec[Slot].DirtyPos == InconsistentSet::NotListed)
+      Bad.push_back("pending set of root " + std::to_string(Slot) +
+                    " is missing from the drain-root list");
   if (SetEntries != TotalPending)
     Bad.push_back("pending count " + std::to_string(TotalPending) + " != " +
                   std::to_string(SetEntries) + " queued set entries");

@@ -125,14 +125,15 @@ public:
   /// faulted during the batch or the propagation — exception, divergence,
   /// cycle, step limit — the whole batch is rolled back to the pre-batch
   /// state and this returns false (abortFault() tells why). On success
-  /// the journal is discarded, the epoch advances, and this returns true.
+  /// the journal is discarded, the epoch advances, the onCommit() actions
+  /// run, and this returns true.
   bool commitBatch();
 
   /// Replays the undo journal in reverse, restoring the pre-batch
   /// quiescent state: storage snapshots, cached values, edges, levels,
   /// execution stamps, versions, quarantine membership, and pending sets
-  /// (cleared — the pre-batch state was quiescent). Audited by verify()
-  /// under Config::VerifyOnRollback.
+  /// (cleared — the pre-batch state was quiescent). onCommit() actions are
+  /// dropped. Audited by verify() under Config::VerifyOnRollback.
   void rollbackBatch();
 
   /// Opens a bounded re-entrant (conventional) run of the in-flight

@@ -30,15 +30,6 @@ uint32_t &currentDrainTask() {
 // Pending sets and partitions
 //===----------------------------------------------------------------------===//
 
-InconsistentSet &GraphPolicy::setFor(DepNode &N) {
-  if (!Cfg.Partitioning)
-    return GlobalSet;
-  UnionFind::Id Root = Partitions.find(N.Partition);
-  if (SetVec.size() <= Root)
-    SetVec.resize(Root + 1);
-  return SetVec[Root];
-}
-
 bool GraphPolicy::samePartition(DepNode &A, DepNode &B) {
   StateGuard Guard(*this);
   return Partitions.find(A.Partition) == Partitions.find(B.Partition);
@@ -47,30 +38,30 @@ bool GraphPolicy::samePartition(DepNode &A, DepNode &B) {
 void GraphPolicy::eraseFromPendingSets(DepNode &N) {
   if (!N.InQueue)
     return;
-  setFor(N).erase(*this, N);
-  if (!N.InQueue) {
-    --TotalPending;
-    return;
+  if (!Cfg.Partitioning) {
+    GlobalSet.erase(*this, N);
+  } else {
+    // uniteRoots moves a merged-away root's entries to the surviving
+    // root, so a queued node always sits in its current root's set.
+    UnionFind::Id Root = Partitions.find(N.Partition);
+    assert(Root < SetVec.size() && "queued node's partition has no set");
+    SetVec[Root].erase(*this, N);
+    if (SetVec[Root].empty())
+      unlistDirty(Root);
   }
-  // The entry can sit in a stale set if partitions merged after it was
-  // queued; fall back to scanning every set.
-  for (InconsistentSet &S : SetVec) {
-    S.erase(*this, N);
-    if (!N.InQueue)
-      break;
-  }
-  if (!N.InQueue)
-    --TotalPending;
-  GlobalSet.erase(*this, N);
-  assert(!N.InQueue && "queued node not found in any inconsistent set");
+  assert(!N.InQueue && "queued node not found in its inconsistent set");
+  --TotalPending;
 }
 
 void GraphPolicy::clearAllPending() {
   while (!GlobalSet.empty())
     GlobalSet.pop(*this);
-  for (InconsistentSet &S : SetVec)
+  for (UnionFind::Id Root : DirtyRoots) {
+    InconsistentSet &S = SetVec[Root];
     while (!S.empty())
       S.pop(*this);
+    S.DirtyPos = InconsistentSet::NotListed;
+  }
   TotalPending = 0;
   DirtyRoots.clear();
 }
@@ -93,18 +84,22 @@ UnionFind::Id GraphPolicy::uniteRoots(UnionFind::Id RootA,
     Pins += SerialTag[RootB];
     SerialTag[RootB] = 0;
   }
-  if (Root >= SerialTag.size())
+  if (Pins != 0 && Root >= SerialTag.size())
     SerialTag.resize(Root + 1, 0);
-  SerialTag[Root] = Pins;
+  if (Root < SerialTag.size())
+    SerialTag[Root] = Pins;
 
+  // The merged-away root is never a root again: its pending entries and
+  // its place on the drain-root list pass to the survivor.
   UnionFind::Id Other = (Root == RootA) ? RootB : RootA;
   if (Other < SetVec.size() && !SetVec[Other].empty()) {
+    unlistDirty(Other);
     InconsistentSet Orphan = std::move(SetVec[Other]);
     SetVec[Other] = InconsistentSet();
     if (SetVec.size() <= Root)
       SetVec.resize(Root + 1);
     SetVec[Root].mergeFrom(*this, Orphan);
-    DirtyRoots.push_back(Root);
+    listDirty(Root);
   }
 
   // Wave ownership handoff: the merged partition must end up with exactly
@@ -199,6 +194,11 @@ void GraphPolicy::logUndo(std::function<void()> Undo) {
   U.Undo = std::move(Undo);
   Journal.push(std::move(U));
   ++Stats.TxnUndoEntries;
+}
+
+void GraphPolicy::onCommit(std::function<void()> Action) {
+  assert(TxnActive && "onCommit() outside a batch");
+  CommitActions.push_back(std::move(Action));
 }
 
 //===----------------------------------------------------------------------===//

@@ -90,7 +90,7 @@ public:
     if (!SetVec[Root].push(*this, N))
       return;
     ++TotalPending;
-    DirtyRoots.push_back(Root);
+    listDirty(Root);
   }
 
   /// True if the partition containing \p N has pending work (or, with
@@ -105,6 +105,21 @@ public:
 
   /// True when the given nodes are currently in the same partition.
   bool samePartition(DepNode &A, DepNode &B);
+
+  /// Length of the drain-root list: the partition roots with pending
+  /// work, each listed once (test/stats introspection).
+  size_t numDirtyRoots() const { return DirtyRoots.size(); }
+
+  /// Bytes reserved by the partition bookkeeping: the union-find arrays,
+  /// the pending-set vector, the drain-root list and the serial pins (the
+  /// graph.policy_bytes gauge; the pending heaps themselves are not
+  /// counted).
+  size_t policyBytes() const {
+    return Partitions.bytesReserved() +
+           SetVec.capacity() * sizeof(InconsistentSet) +
+           DirtyRoots.capacity() * sizeof(UnionFind::Id) +
+           SerialTag.capacity() * sizeof(uint32_t);
+  }
 
   //===--------------------------------------------------------------------===//
   // Transactional journal bookkeeping — see DESIGN.md "Transactions and
@@ -131,6 +146,13 @@ public:
   /// inside a batch; no-op while a rollback is replaying (the replay must
   /// not journal its own restores).
   void logUndo(std::function<void()> Undo);
+
+  /// Registers \p Action to run when the current batch commits, after the
+  /// batch has closed; a rollback drops it. Only valid inside a batch.
+  /// logUndo's counterpart for the typed layers: work that must wait for
+  /// the batch's outcome, such as freeing storage the commit made
+  /// unreachable.
+  void onCommit(std::function<void()> Action);
 
   /// Journal size of the current batch (test/stats visibility).
   size_t undoLogSize() const { return Journal.size(); }
@@ -194,13 +216,56 @@ protected:
   friend class GraphCheckpoint;
   friend class GraphRestorer;
 
-  /// The pending set responsible for \p N (grows SetVec on demand).
-  InconsistentSet &setFor(DepNode &N);
-
   /// The pending set of root \p Root, or nullptr if none was ever grown.
   InconsistentSet *findSet(UnionFind::Id Root) {
     return Root < SetVec.size() ? &SetVec[Root] : nullptr;
   }
+
+  /// Puts \p Root (a current root whose set just gained work) on the
+  /// drain-root list unless it is already there.
+  void listDirty(UnionFind::Id Root) {
+    InconsistentSet &S = SetVec[Root];
+    if (S.DirtyPos != InconsistentSet::NotListed)
+      return;
+    S.DirtyPos = static_cast<uint32_t>(DirtyRoots.size());
+    DirtyRoots.push_back(Root);
+  }
+
+  /// Takes \p Root off the drain-root list (no-op if unlisted). O(1): the
+  /// last entry moves into the vacated position.
+  void unlistDirty(UnionFind::Id Root) {
+    uint32_t Pos = SetVec[Root].DirtyPos;
+    if (Pos == InconsistentSet::NotListed)
+      return;
+    UnionFind::Id Last = DirtyRoots.back();
+    DirtyRoots[Pos] = Last;
+    SetVec[Last].DirtyPos = Pos;
+    DirtyRoots.pop_back();
+    SetVec[Root].DirtyPos = InconsistentSet::NotListed;
+  }
+
+  /// Moves \p Root to the top of the drain-root list if it is listed.
+  void raiseDirty(UnionFind::Id Root) {
+    if (Root >= SetVec.size() ||
+        SetVec[Root].DirtyPos == InconsistentSet::NotListed)
+      return;
+    unlistDirty(Root);
+    listDirty(Root);
+  }
+
+  /// Pops the lowest-level node of \p Root's non-empty pending set; the
+  /// root leaves the drain-root list when its set drains.
+  DepNode &popPending(UnionFind::Id Root) {
+    InconsistentSet &S = SetVec[Root];
+    DepNode &N = S.pop(*this);
+    --TotalPending;
+    if (S.empty())
+      unlistDirty(Root);
+    return N;
+  }
+
+  /// Publishes policyBytes() as the graph.policy_bytes gauge.
+  void publishPolicyBytes() { Stats.GraphPolicyBytes = policyBytes(); }
 
   /// Removes a queued node from whichever pending set holds it and fixes
   /// the TotalPending count (used by unregisterNode and quarantine).
@@ -268,7 +333,10 @@ protected:
   /// With partitioning disabled, GlobalSet is used instead.
   std::vector<InconsistentSet> SetVec;
   InconsistentSet GlobalSet;
-  /// Roots that may have pending work (may contain stale ids).
+  /// The drain-root list: every root whose pending set is non-empty,
+  /// each exactly once (its InconsistentSet::DirtyPos indexes it here).
+  /// Demand drains (evaluateFor) delist as they empty a set, so the list
+  /// stays bounded by the partitions with pending work.
   std::vector<UnionFind::Id> DirtyRoots;
   size_t TotalPending = 0;
 
@@ -278,6 +346,8 @@ protected:
 
   /// Undo journal of the active batch (empty outside one).
   UndoLog Journal;
+  /// onCommit() actions of the active batch (empty outside one).
+  std::vector<std::function<void()>> CommitActions;
   /// A batch is open (beginBatch .. commit/rollback).
   bool TxnActive = false;
   /// rollbackBatch() is replaying; suppresses journaling and scrubbing.
@@ -297,7 +367,9 @@ protected:
   /// nonzero count on a root means the whole partition drains on the
   /// calling thread. Counted (not a sticky bit) so that destroying the
   /// last pinned node of a partition returns it to the parallel waves;
-  /// merges sum the two roots' counts.
+  /// merges sum the two roots' counts. Grown only when a nonzero count is
+  /// stored, so it is sized by the highest pinned root, not by every node
+  /// ever registered; a slot past the end reads as 0.
   std::vector<uint32_t> SerialTag;
 };
 

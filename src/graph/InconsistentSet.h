@@ -89,6 +89,13 @@ public:
       F(G.node(E.Id));
   }
 
+  static constexpr uint32_t NotListed = UINT32_MAX;
+  /// Position of this set's partition root on the owning graph's
+  /// drain-root list (GraphPolicy::DirtyRoots), or NotListed. Kept here so
+  /// listing and delisting a root are O(1) and the list never holds a
+  /// root twice.
+  uint32_t DirtyPos = NotListed;
+
 private:
   struct Entry {
     NodeId Id;

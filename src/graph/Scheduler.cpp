@@ -157,8 +157,7 @@ void PropagationScheduler::drainRoot(UnionFind::Id Anchor, uint32_t Me) {
         ++G.Stats.PropPartitionsDrained;
         break;
       }
-      U = &S->pop(G);
-      --G.TotalPending;
+      U = &G.popPending(Root);
     }
     try {
       G.processNode(*U);

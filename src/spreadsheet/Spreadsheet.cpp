@@ -82,33 +82,85 @@ void Spreadsheet::recordSource(size_t I, std::string Src) {
   Sources[I] = std::move(Src);
 }
 
+void Spreadsheet::hookBatch() {
+  if (!RT.inBatch() || BatchHooked)
+    return;
+  BatchHooked = true;
+  auto FreeAndReset = [this](std::vector<Exp *> &Trees) {
+    std::vector<Exp *> Dead = std::move(Trees);
+    BatchBuilt.clear();
+    BatchReplaced.clear();
+    BatchHooked = false;
+    for (Exp *Root : Dead)
+      Tree.destroy(Root);
+  };
+  // Rollback: the journal restored every replaced tree into its cell and
+  // undid every reference to the built ones before reaching this entry.
+  RT.graph().logUndo([this, FreeAndReset] { FreeAndReset(BatchBuilt); });
+  RT.graph().onCommit(
+      [this, FreeAndReset] { FreeAndReset(BatchReplaced); });
+}
+
+void Spreadsheet::retire(Exp *Root) {
+  if (!Root)
+    return;
+  if (RT.inBatch())
+    BatchReplaced.push_back(Root);
+  else
+    Tree.destroy(Root);
+}
+
+void Spreadsheet::noteBuilt(Exp *Root) {
+  if (RT.inBatch())
+    BatchBuilt.push_back(Root);
+}
+
 bool Spreadsheet::setFormula(int Row, int Col, const std::string &Source) {
+  hookBatch();
+  size_t Mark = Tree.size();
   Exp *Parsed = attrgram::parseFormula(
       Tree, Source, Diags, [this](int R, int C) { return makeCellRef(R, C); });
-  if (!Parsed)
+  if (!Parsed) {
+    // The fragments are garbage whatever the batch (if any) decides.
+    for (Exp *Fragment : Tree.rootsSince(Mark)) {
+      noteBuilt(Fragment);
+      retire(Fragment);
+    }
     return false;
+  }
+  noteBuilt(Parsed);
   size_t I = index(Row, Col);
+  Exp *Old = Grid[I]->peek();
   Grid[I]->set(Parsed);
   recordSource(I, Source);
+  retire(Old);
   return true;
 }
 
 void Spreadsheet::setLiteral(int Row, int Col, int Value) {
+  hookBatch();
   size_t I = index(Row, Col);
   Cell<Exp *> &Slot = *Grid[I];
   recordSource(I, std::to_string(Value));
-  if (Exp *Cur = Slot.peek())
-    if (IntExp *Lit = Cur->asIntExp()) {
+  Exp *Old = Slot.peek();
+  if (Old)
+    if (IntExp *Lit = Old->asIntExp()) {
       Lit->Lit.set(Value); // In-place edit: only the literal cell changes.
       return;
     }
-  Slot.set(Tree.makeInt(Value));
+  Exp *Fresh = Tree.makeInt(Value);
+  noteBuilt(Fresh);
+  Slot.set(Fresh);
+  retire(Old);
 }
 
 void Spreadsheet::clearCell(int Row, int Col) {
+  hookBatch();
   size_t I = index(Row, Col);
+  Exp *Old = Grid[I]->peek();
   Grid[I]->set(nullptr);
   recordSource(I, "");
+  retire(Old);
 }
 
 bool Spreadsheet::setAll(const std::vector<CellEdit> &Edits) {

@@ -50,6 +50,12 @@ public:
   /// Parses \p Source and installs it as the formula of (\p Row, \p Col).
   /// \returns false (and records diagnostics) on a parse error; the cell
   /// keeps its previous formula in that case.
+  ///
+  /// Replaced formula trees, and the fragments of a failed parse, are
+  /// freed: at once outside a batch; inside one (setAll, or a batch the
+  /// caller opened with Runtime::beginBatch) when the batch resolves — a
+  /// commit frees the trees it replaced, a rollback the trees it built.
+  /// The same holds for setLiteral and clearCell.
   bool setFormula(int Row, int Col, const std::string &Source);
 
   /// Sets the cell to a literal value. If the current formula is already a
@@ -130,6 +136,9 @@ public:
 
   Runtime &runtime() { return RT; }
 
+  /// The sheet's formula trees (size() counts every live production).
+  const attrgram::ExprTree &exprTree() const { return Tree; }
+
 private:
   friend class CellRefExp;
 
@@ -151,6 +160,20 @@ private:
 
   attrgram::Exp *makeCellRef(int Row, int Col);
 
+  /// Hands \p Root, a tree no cell holds any more, to ExprTree::destroy:
+  /// now outside a batch, at commit inside one.
+  void retire(attrgram::Exp *Root);
+
+  /// Inside a batch, records \p Root as built by it, to be freed if the
+  /// batch rolls back. No-op outside a batch.
+  void noteBuilt(attrgram::Exp *Root);
+
+  /// Inside a batch, registers (once per batch) the rollback and commit
+  /// actions that free BatchBuilt / BatchReplaced. Must run before the
+  /// batch's first parse, so the rollback action replays after every
+  /// journal entry that captures a node the batch built.
+  void hookBatch();
+
   Runtime &RT;
   int NumRows;
   int NumCols;
@@ -162,6 +185,10 @@ private:
   /// The source text behind Grid[i] ("" = empty cell); what checkpoints
   /// persist, since the trees themselves are pointer-keyed.
   std::vector<std::string> Sources;
+  /// Trees built / replaced inside the open batch (see setFormula).
+  std::vector<attrgram::Exp *> BatchBuilt;
+  std::vector<attrgram::Exp *> BatchReplaced;
+  bool BatchHooked = false;
   /// Cycle detection for the *oracle* path only: cells currently being
   /// evaluated exhaustively. The incremental path reads the re-entrant
   /// depth of the cell's dependency-graph node instead (the graph's

@@ -38,6 +38,7 @@ std::ostream &operator<<(std::ostream &OS, const Statistics &S) {
      << "pool.edge_reuse      " << S.EdgeReuse.total() << '\n'
      << "graph.node_bytes     " << S.GraphNodeBytes.total() << '\n'
      << "graph.edge_bytes     " << S.GraphEdgeBytes.total() << '\n'
+     << "graph.policy_bytes   " << S.GraphPolicyBytes.total() << '\n'
      << "pool.high_water      " << S.PoolHighWater.total() << '\n'
      << "shape.nodes_reserved " << S.ShapeNodesReserved.total() << '\n'
      << "shape.edges_reserved " << S.ShapeEdgesReserved.total() << '\n'

@@ -242,6 +242,10 @@ struct Statistics {
   /// Bytes reserved by the edge table's slabs (24-byte packed edges +
   /// generations; gauge, updated when the slabs grow).
   StatCounter GraphEdgeBytes;
+  /// Bytes reserved by the graph's partition bookkeeping: union-find
+  /// arrays, pending-set vector, drain-root list and serial pins (gauge,
+  /// published after each top-level drain and each rollback).
+  StatCounter GraphPolicyBytes;
   /// High-water mark of total graph slab bytes (nodes + edges; gauge).
   /// Resettable per Runtime (resetPoolHighWater) so a bench can scope the
   /// mark to a churn phase.

@@ -77,6 +77,11 @@ public:
   /// Number of elements ever created.
   size_t size() const { return Parent.size(); }
 
+  /// Bytes reserved by the parent and rank arrays.
+  size_t bytesReserved() const {
+    return Parent.capacity() * sizeof(Id) + Rank.capacity();
+  }
+
   /// Number of distinct sets currently alive.
   size_t numSets() const { return NumSets; }
 

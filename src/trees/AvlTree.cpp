@@ -130,6 +130,7 @@ AvlTree::Node *AvlTree::makeNode(int Key) {
   Node *N = Owned.get();
   N->Left.set(Nil.get());
   N->Right.set(Nil.get());
+  N->PoolSlot = Pool.size();
   Pool.push_back(std::move(Owned));
   return N;
 }
@@ -140,10 +141,11 @@ void AvlTree::discard(Node *N) {
   // destruction invalidates any dependents.
   Height.erase(N);
   Balance.erase(N);
-  auto It = std::find_if(Pool.begin(), Pool.end(),
-                         [N](const auto &P) { return P.get() == N; });
-  assert(It != Pool.end() && "discarding a node this tree does not own");
-  *It = std::move(Pool.back());
+  size_t Slot = N->PoolSlot;
+  assert(Slot < Pool.size() && Pool[Slot].get() == N &&
+         "discarding a node this tree does not own");
+  Pool[Slot] = std::move(Pool.back());
+  Pool[Slot]->PoolSlot = Slot;
   Pool.pop_back();
 }
 

@@ -88,6 +88,9 @@ private:
     Cell<Node *> Left;
     Cell<Node *> Right;
     Cell<int> Key;
+    /// Index of this node in the owning tree's Pool (mutator bookkeeping,
+    /// untracked): discard() removes the node in O(1).
+    size_t PoolSlot = 0;
   };
 
   Node *makeNode(int Key);

@@ -163,6 +163,41 @@ TEST(ExprTreeTest, SubtreeSpliceReattributes) {
   EXPECT_EQ(T.value(Root), 17);
 }
 
+TEST(ExprTreeTest, DestroyFreesDetachedSubtree) {
+  Runtime RT;
+  ExprTree T(RT);
+  PlusExp *Sum = T.makePlus(T.makeInt(1), T.makeInt(2));
+  RootExp *Root = T.makeRoot(Sum);
+  Exp *Old = T.makeLet("k", T.makeInt(4), T.makeMul(T.makeId("k"),
+                                                   T.makeId("k")));
+  T.replaceChild(Sum->Rhs, Sum, Old);
+  EXPECT_EQ(T.value(Root), 17);
+  const size_t Size = T.size();
+  const uint64_t Live = RT.stats().NodesCreated - RT.stats().NodesDestroyed;
+
+  // Detach the let and free it: its five productions leave the pool, and
+  // its cells and Exp.value/Exp.env instances leave the graph.
+  T.replaceChild(Sum->Rhs, Sum, T.makeInt(10));
+  EXPECT_EQ(T.value(Root), 11);
+  T.destroy(Old);
+  EXPECT_EQ(T.size(), Size + 1 - 5);
+  EXPECT_LT(RT.stats().NodesCreated - RT.stats().NodesDestroyed, Live);
+
+  // New productions may land on the freed addresses; they must be
+  // attributed afresh.
+  for (int I = 0; I < 50; ++I) {
+    Exp *Fresh = T.makeLet("k", T.makeInt(I), T.makePlus(T.makeId("k"),
+                                                         T.makeInt(1)));
+    Exp *Prev = Sum->Rhs.peek();
+    T.replaceChild(Sum->Rhs, Sum, Fresh);
+    ASSERT_EQ(T.value(Root), 1 + I + 1);
+    ASSERT_EQ(T.value(Root), T.oracleValue(Root));
+    T.destroy(Prev);
+  }
+  EXPECT_EQ(T.size(), Size); // One five-production let, as before.
+  EXPECT_TRUE(RT.graph().verify().empty());
+}
+
 TEST(ExprTreeTest, EnvAttributeIsCachedPerChild) {
   Runtime RT;
   ExprTree T(RT);

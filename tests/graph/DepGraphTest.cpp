@@ -334,6 +334,49 @@ TEST_F(DepGraphTest, MarkingIsIdempotent) {
   }
 }
 
+TEST_F(DepGraphTest, DemandOnlyChurnKeepsDrainRootListBounded) {
+  // Writes followed by partition-scoped demand drains, never a pump, while
+  // a second partition keeps pending work throughout. Each root with
+  // pending work is listed once, so the drain-root list stays within the
+  // two partitions and the policy arrays stop growing.
+  DepGraph G(Stats);
+  {
+    FakeStorage SA(G), SB(G);
+    FakeProc PA(G), PB(G);
+    recordRead(G, PA, SA);
+    recordRead(G, PB, SB);
+    G.markInconsistent(SB); // Partition B stays pending to the end.
+    G.markInconsistent(SA);
+    G.evaluateFor(PA);
+    const size_t Bytes = G.policyBytes();
+    for (int I = 0; I < 10000; ++I) {
+      G.markInconsistent(SA);
+      EXPECT_LE(G.numDirtyRoots(), 2u);
+      G.evaluateFor(PA);
+      ASSERT_EQ(G.numDirtyRoots(), 1u);
+    }
+    EXPECT_EQ(G.policyBytes(), Bytes);
+
+    // Fresh partitions that are queued, then merged into A by a new read,
+    // hand their place on the list to the merged root.
+    for (int I = 0; I < 1000; ++I) {
+      FakeStorage Fresh(G);
+      G.markInconsistent(Fresh);
+      EXPECT_LE(G.numDirtyRoots(), 2u);
+      recordRead(G, PA, Fresh);
+      G.markInconsistent(SA);
+      EXPECT_LE(G.numDirtyRoots(), 2u);
+      G.evaluateFor(PA);
+      ASSERT_EQ(G.numDirtyRoots(), 1u);
+    }
+    EXPECT_TRUE(G.verify().empty());
+    EXPECT_EQ(G.numPending(), 1u);
+    G.evaluateAll();
+    EXPECT_EQ(G.numDirtyRoots(), 0u);
+    EXPECT_FALSE(PB.isConsistent());
+  }
+}
+
 TEST_F(DepGraphTest, StatsTrackLiveCounts) {
   DepGraph G(Stats);
   {

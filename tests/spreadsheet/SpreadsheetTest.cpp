@@ -420,5 +420,138 @@ TEST(SpreadsheetTest, BudgetedRecalcServesStaleValuesThenCatchesUp) {
             100 + 101 + 102 + 103 + 104 + 105);
 }
 
+/// Live graph nodes (created minus destroyed).
+static uint64_t liveNodes(Runtime &RT) {
+  return RT.stats().NodesCreated - RT.stats().NodesDestroyed;
+}
+
+TEST(SpreadsheetTest, FormulaRewritesKeepMemoryFlat) {
+  Runtime RT;
+  Spreadsheet S(RT, 3, 3);
+  ASSERT_TRUE(S.setFormula(0, 0, "5"));
+  ASSERT_TRUE(S.setFormula(2, 2, "cell(1,1) * 2"));
+  const char *Formulas[] = {"cell(0,0) + 1", "let x = cell(0,0) in x * x ni",
+                            "(cell(0,0) + 2) * 3"};
+  auto Rewrite = [&](int I) {
+    ASSERT_TRUE(S.setFormula(1, 1, Formulas[I % 3]));
+    S.value(2, 2);
+  };
+  for (int I = 0; I < 3; ++I)
+    Rewrite(I);
+  const size_t Trees = S.exprTree().size();
+  const uint64_t Nodes = liveNodes(RT);
+  for (int I = 3; I < 10002; ++I)
+    Rewrite(I);
+  // Every replaced tree was freed with its cells, its Exp.value/Exp.env
+  // instances and their edges.
+  EXPECT_EQ(S.exprTree().size(), Trees);
+  EXPECT_EQ(liveNodes(RT), Nodes);
+  EXPECT_EQ(S.value(2, 2), S.oracleValue(2, 2));
+  EXPECT_TRUE(RT.graph().verify().empty());
+}
+
+TEST(SpreadsheetTest, FailedParseFreesItsFragments) {
+  Runtime RT;
+  Spreadsheet S(RT, 2, 2);
+  ASSERT_TRUE(S.setFormula(0, 0, "1 + 2"));
+  const size_t Trees = S.exprTree().size();
+  EXPECT_FALSE(S.setFormula(0, 0, "(1 + cell(1,1)) * let"));
+  EXPECT_EQ(S.exprTree().size(), Trees);
+  EXPECT_EQ(S.value(0, 0), 3);
+  // Inside a batch the fragments outlive the parse (the journal holds
+  // closures over them) but not the batch, whichever way it ends.
+  EXPECT_FALSE(S.setAll({{0, 1, "2 * 3"}, {1, 0, "4 * (5 +"}}));
+  EXPECT_EQ(S.exprTree().size(), Trees);
+  RT.beginBatch();
+  EXPECT_FALSE(S.setFormula(1, 0, "4 * (5 +"));
+  EXPECT_TRUE(RT.commitBatch());
+  EXPECT_EQ(S.exprTree().size(), Trees);
+}
+
+TEST(SpreadsheetTest, RecycledAddressesNeverHitStaleInstances) {
+  // Two formulas alternate in one cell: each rewrite frees the other's
+  // tree, so new productions land on recycled addresses. A stale
+  // Exp.value or Exp.env entry keyed by such an address would serve the
+  // old formula's value.
+  Runtime RT;
+  Spreadsheet S(RT, 2, 3);
+  ASSERT_TRUE(S.setFormula(0, 0, "3"));
+  ASSERT_TRUE(S.setFormula(0, 1, "4"));
+  ASSERT_TRUE(S.setFormula(1, 0, "cell(0,2) + 1"));
+  ASSERT_TRUE(S.setFormula(1, 1, "cell(0,2) * cell(1,0)"));
+  const char *Formulas[] = {"let x = cell(0,0) in x + cell(0,1) ni",
+                            "let x = cell(0,1) in x * cell(0,0) ni"};
+  for (int I = 0; I < 400; ++I) {
+    ASSERT_TRUE(S.setFormula(0, 2, Formulas[I % 2]));
+    if (I % 7 == 0)
+      S.setLiteral(0, I % 2, I % 10);
+    for (int R = 0; R < 2; ++R)
+      for (int C = 0; C < 3; ++C)
+        ASSERT_EQ(S.value(R, C), S.oracleValue(R, C))
+            << "cell (" << R << ", " << C << ") after rewrite " << I;
+  }
+  EXPECT_TRUE(RT.graph().verify().empty());
+}
+
+TEST(SpreadsheetTest, SetAllRollbackRestoresReplacedFormula) {
+  TempSheetCheckpoint File("sheet-ckpt-replaced");
+  Runtime RT;
+  Spreadsheet S(RT, 2, 2);
+  ASSERT_TRUE(S.setFormula(0, 0, "6"));
+  ASSERT_TRUE(S.setFormula(0, 1, "cell(0,0) * 7"));
+  EXPECT_EQ(S.value(0, 1), 42);
+  const size_t Trees = S.exprTree().size();
+  const uint64_t Nodes = liveNodes(RT);
+
+  // The batch replaces (0,1)'s formula, then fails on a parse error: the
+  // old tree must come back intact, with its value and its source text.
+  EXPECT_FALSE(S.setAll({{0, 1, "cell(0,0) + 1"}, {1, 1, "+"}}));
+  EXPECT_EQ(S.value(0, 1), 42);
+  EXPECT_EQ(S.exprTree().size(), Trees);
+  EXPECT_EQ(liveNodes(RT), Nodes);
+  S.setLiteral(0, 0, 2);
+  EXPECT_EQ(S.value(0, 1), 14);
+  S.saveCheckpoint(File.path());
+  Runtime RTB;
+  Spreadsheet B(RTB, 2, 2);
+  B.restoreCheckpoint(File.path());
+  B.setLiteral(0, 0, 3);
+  EXPECT_EQ(B.value(0, 1), 21) << "restored text is the pre-batch formula";
+
+  // A committed batch frees the tree it replaced.
+  EXPECT_TRUE(S.setAll({{0, 1, "cell(0,0) * 9"}}));
+  EXPECT_EQ(S.value(0, 1), 18);
+  EXPECT_EQ(S.exprTree().size(), Trees);
+  EXPECT_EQ(liveNodes(RT), Nodes);
+  EXPECT_TRUE(RT.graph().verify().empty());
+}
+
+TEST(SpreadsheetTest, CallerBatchRollbackRestoresFormula) {
+  Runtime RT;
+  Spreadsheet S(RT, 2, 2);
+  ASSERT_TRUE(S.setFormula(0, 0, "10"));
+  ASSERT_TRUE(S.setFormula(1, 0, "cell(0,0) + 5"));
+  EXPECT_EQ(S.value(1, 0), 15);
+  const size_t Trees = S.exprTree().size();
+
+  RT.beginBatch();
+  ASSERT_TRUE(S.setFormula(1, 0, "cell(0,0) * 100"));
+  S.clearCell(0, 0);
+  EXPECT_EQ(S.value(1, 0), 0);
+  RT.rollbackBatch();
+  EXPECT_EQ(S.value(1, 0), 15);
+  EXPECT_EQ(S.exprTree().size(), Trees);
+  S.setLiteral(0, 0, 1);
+  EXPECT_EQ(S.value(1, 0), 6);
+
+  // The same edits committed: the replaced trees go at commit.
+  RT.beginBatch();
+  ASSERT_TRUE(S.setFormula(1, 0, "cell(0,0) * 100"));
+  EXPECT_TRUE(RT.commitBatch());
+  EXPECT_EQ(S.value(1, 0), 100);
+  EXPECT_EQ(S.exprTree().size(), Trees);
+  EXPECT_TRUE(RT.graph().verify().empty());
+}
+
 } // namespace
 } // namespace alphonse::spreadsheet
