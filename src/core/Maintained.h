@@ -244,9 +244,11 @@ private:
     bool InLRU = false;
   };
 
-  /// The execution half of Algorithm 5: retract the old referenced-argument
-  /// set, push this instance on the call stack, run the body with the
-  /// stored arguments, cache and return the result. The protocol frames are
+  /// The execution half of Algorithm 5: push this instance on the call
+  /// stack, run the body with the stored arguments, cache and return the
+  /// result. The graph keeps the old referenced-argument set's edges that
+  /// the body reads again and retracts the rest when the execution ends
+  /// (DepGraph::endExecution). The protocol frames are
   /// RAII so a throwing body unwinds with the graph and call stack
   /// coherent; the instance is quarantined with the captured fault and the
   /// exception continues to the caller (cascading through incremental
@@ -258,7 +260,6 @@ private:
     // typed layer, so its restore is an Action entry.
     if (G.inBatch())
       G.logUndo([&N, Old = N.Cached]() { N.Cached = Old; });
-    G.removePredEdges(N);
     ExecutionScope Exec(G, N);
     Runtime::CallScope Call(*RT, &N);
     try {
@@ -284,8 +285,11 @@ private:
   }
 
   void touchLRU(InstanceNode &N) {
-    if (N.InLRU)
-      LRU.erase(N.LRUSlot);
+    if (N.InLRU) {
+      // Relink the existing list node: a cache hit allocates nothing.
+      LRU.splice(LRU.begin(), LRU, N.LRUSlot);
+      return;
+    }
     LRU.push_front(&N);
     N.LRUSlot = LRU.begin();
     N.InLRU = true;

@@ -37,6 +37,7 @@ void GraphSnapshot::encode(ByteWriter &W) const {
     W.u8(N.Strategy);
     W.u8(N.Consistent);
     W.u8(N.Serial);
+    W.u8(N.ReadMid);
     W.u32(N.Level);
     W.u32(N.PartitionTag);
     W.u64(N.Version);
@@ -77,6 +78,7 @@ GraphSnapshot GraphSnapshot::decode(ByteReader &R) {
     N.Strategy = R.u8();
     N.Consistent = R.u8();
     N.Serial = R.u8();
+    N.ReadMid = R.u8();
     N.Level = R.u32();
     N.PartitionTag = R.u32();
     N.Version = R.u64();
@@ -88,7 +90,7 @@ GraphSnapshot GraphSnapshot::decode(ByteReader &R) {
       malformed("snapshot node with an unknown kind");
     if (N.Strategy > static_cast<uint8_t>(EvalStrategy::Eager))
       malformed("snapshot node with an unknown strategy");
-    if (N.Consistent > 1 || N.Serial > 1)
+    if (N.Consistent > 1 || N.Serial > 1 || N.ReadMid > 1)
       malformed("snapshot node with a non-boolean flag");
     if (!Ids.insert(N.IdBits).second)
       malformed("duplicate node id in snapshot");
@@ -168,6 +170,7 @@ GraphSnapshot GraphCheckpoint::capture(DepGraph &G) {
     R.Kind = static_cast<uint8_t>(N->Kind);
     R.Strategy = static_cast<uint8_t>(N->Strategy);
     R.Consistent = N->Consistent ? 1 : 0;
+    R.ReadMid = N->ReadMidExecution ? 1 : 0;
     R.Level = N->Level;
     R.Version = N->Version;
     R.ExecStamp = N->ExecStamp;
@@ -252,6 +255,7 @@ void GraphRestorer::finish(DepGraph &G) {
   for (const CkptNode &R : Snap.Nodes) {
     DepNode &N = *Bound.at(R.IdBits);
     N.Consistent = R.Consistent != 0;
+    N.ReadMidExecution = R.ReadMid != 0;
     N.Level = R.Level;
     N.Version = R.Version;
     N.ExecStamp = R.ExecStamp;
@@ -273,8 +277,7 @@ void GraphRestorer::finish(DepGraph &G) {
   }
 
   // Edges: each snapshot adjacency row goes through the bulk-link API in
-  // one call (it re-reverses internally so the push-front linkage
-  // recovers the captured list order).
+  // one call, which keeps the captured (read) order.
   {
     std::vector<DepNode *> Row;
     for (const CkptPredList &P : Snap.Preds) {

@@ -51,6 +51,9 @@ struct CkptNode {
   uint8_t Strategy = 0;   ///< EvalStrategy
   uint8_t Consistent = 0; ///< consistent(u) bit
   uint8_t Serial = 0;     ///< node held a serial pin (requireSerialEval)
+  /// DepNode::ReadMidExecution: a dependent read this node while it ran,
+  /// so the level audit of verify() exempts its successor edges.
+  uint8_t ReadMid = 0;
   uint32_t Level = 0;
   /// Capture-time union-find root of the node's partition. An opaque
   /// label: restore unites nodes that share it.
@@ -60,8 +63,8 @@ struct CkptNode {
   std::string Name;
 };
 
-/// Predecessor list of one sink, front-to-back (most recent source
-/// first, matching the intrusive list order).
+/// Predecessor list of one sink, front-to-back (read order, matching the
+/// intrusive list order).
 struct CkptPredList {
   uint32_t SinkBits = 0;
   std::vector<uint32_t> SourceBits;

@@ -103,17 +103,23 @@ void DepGraph::unregisterNode(DepNode &N) {
 
   // Anything that depended on this node just lost a dependency; that is a
   // change and must propagate (the paper relies on garbage collection here;
-  // see the substitution table in DESIGN.md).
+  // see the substitution table in DESIGN.md). An executing sink that has
+  // not read this node again yet never sees the edge die; one that has
+  // read it steps its cursor back off the dying edge.
   EdgeId E = N.FirstSucc;
   while (E) {
     Edge &Ed = edge(E);
     EdgeId Next = Ed.NextSucc;
     DepNode &Sink = node(Ed.Sink);
+    bool Observed = !isUnconfirmed(E);
+    if (Sink.PredCursor == E)
+      Sink.PredCursor = Ed.PrevPred;
     unlinkEdge(E);
     freeEdgeSlot(E);
     ++Stats.EdgesRemoved;
     --NumLiveEdges;
-    markInconsistent(Sink);
+    if (Observed)
+      markInconsistent(Sink);
     E = Next;
   }
 
@@ -160,8 +166,25 @@ void DepGraph::addDependency(DepNode &Sink, DepNode &Source) {
   Source.DedupSink = Sink.Id;
   Source.DedupStamp = Sink.ExecStamp;
 
+  // The previous execution read the same source next: keep its edge. It is
+  // already linked, counted and inside Sink's partition, and a rollback
+  // has nothing to undo for it.
+  if (Sink.Executing) {
+    EdgeId Next =
+        Sink.PredCursor ? edge(Sink.PredCursor).NextPred : Sink.FirstPred;
+    if (Next && edge(Next).Source == Source.Id) {
+      Sink.PredCursor = Next;
+      return;
+    }
+  }
+
+  // A new read: link it at the cursor, ahead of the old reads still to
+  // come. The cursor moves before the union below can throw RetryConflict,
+  // so an abandoned execution keeps the edge like any other it recorded.
   EdgeId E = allocEdge();
-  linkEdge(E, Source, Sink);
+  linkEdge(E, Source, Sink, Sink.PredCursor);
+  if (Sink.Executing)
+    Sink.PredCursor = E;
 
   ++Stats.EdgesCreated;
   ++NumLiveEdges;
@@ -191,19 +214,28 @@ void DepGraph::addDependency(DepNode &Sink, DepNode &Source) {
 
 void DepGraph::removePredEdges(DepNode &Sink) {
   StateGuard Guard(*this);
-  bool Log = journaling() && static_cast<bool>(Sink.FirstPred);
+  retractPredsAfter(Sink, EdgeId());
+  Sink.PredCursor = EdgeId();
+}
+
+void DepGraph::retractPredsAfter(DepNode &Sink, EdgeId After) {
+  EdgeId &Link = After ? edge(After).NextPred : Sink.FirstPred;
+  EdgeId E = Link;
+  if (!E)
+    return;
+  Link = EdgeId();
+  bool Log = journaling();
   UndoEntry U;
   uint64_t Count = 0;
-  EdgeId E = Sink.FirstPred;
   while (E) {
     Edge &Ed = edge(E);
     EdgeId Next = Ed.NextPred;
     if (Log)
       U.Sources.push_back(Ed.Source);
-    // Every predecessor edge dies with this retraction, so only the
-    // source-side successor lists need repairing; the pred-list links
-    // between dying edges are never read again (the generic unlinkEdge
-    // would maintain them, half of it wasted work on this hot path).
+    // The whole tail dies, so only the source-side successor lists need
+    // repairing; the pred-list links between dying edges are never read
+    // again (the generic unlinkEdge would maintain them, half of it wasted
+    // work on this hot path).
     if (Ed.PrevSucc)
       edge(Ed.PrevSucc).NextSucc = Ed.NextSucc;
     else
@@ -214,11 +246,8 @@ void DepGraph::removePredEdges(DepNode &Sink) {
     ++Count;
     E = Next;
   }
-  if (Count) {
-    Sink.FirstPred = EdgeId();
-    Stats.EdgesRemoved += Count;
-    NumLiveEdges -= Count;
-  }
+  Stats.EdgesRemoved += Count;
+  NumLiveEdges -= Count;
   if (Log) {
     U.K = UndoEntry::Kind::PredsRemoved;
     U.Sink = Sink.Id;
@@ -258,6 +287,7 @@ void DepGraph::beginExecution(DepNode &Proc) {
   // invalidation during the run (e.g. a self-write) is observable afterward.
   Proc.Consistent = true;
   Proc.Executing = true;
+  assert(!Proc.PredCursor && "idle node holds a predecessor cursor");
   Proc.ReadMidExecution = false;
   Proc.Level = 0;
   Proc.ExecStamp = ++StampCounter;
@@ -270,6 +300,8 @@ void DepGraph::endExecution(DepNode &Proc) {
   assert(Proc.Executing && "endExecution without beginExecution");
   StateGuard Guard(*this);
   Proc.Executing = false;
+  retractPredsAfter(Proc, Proc.PredCursor);
+  Proc.PredCursor = EdgeId();
   // Invalidated mid-run: demand nodes recompute at their next call; eager
   // nodes must be queued again so the pump re-runs them.
   if (!Proc.Consistent && Proc.Strategy == EvalStrategy::Eager)
@@ -645,8 +677,12 @@ void DepGraph::selfInvalidate(DepNode &Proc) {
 
 bool DepGraph::settleUnobservedWrite(DepNode &N) {
   StateGuard Guard(*this);
-  if (!N.isStorage() || N.Quarantined || N.FirstSucc)
+  if (!N.isStorage() || N.Quarantined)
     return false;
+  // Edges into executing sinks that have not read N again do not count.
+  for (EdgeId E = N.FirstSucc; E; E = edge(E).NextSucc)
+    if (!isUnconfirmed(E))
+      return false;
   // Same bookkeeping as processNode's storage branch: refresh the
   // snapshot, and on a real change stamp a fresh version (journaled so a
   // rollback restores the old stamp). enqueueSuccessors is vacuous here.
@@ -767,12 +803,15 @@ void DepGraph::applyUndo(UndoEntry &E) {
   case UndoEntry::Kind::EdgeAdded:
     unlinkOneEdge(node(E.Source), node(E.Sink));
     break;
-  case UndoEntry::Kind::PredsRemoved:
-    // Relink in reverse so the sink's predecessor list (a push-front
-    // stack) recovers its original order.
-    for (auto It = E.Sources.rbegin(); It != E.Sources.rend(); ++It)
-      relinkEdge(node(*It), node(E.Sink));
+  case UndoEntry::Kind::PredsRemoved: {
+    // The retracted edges were the list's tail, and every later entry has
+    // been undone: append them in order to restore the old list.
+    DepNode &Sink = node(E.Sink);
+    EdgeId Tail = lastPredecessor(Sink);
+    for (NodeId Source : E.Sources)
+      Tail = relinkEdge(node(Source), Sink, Tail);
     break;
+  }
   case UndoEntry::Kind::ExecSnapshot: {
     DepNode &N = node(E.Sink);
     N.Consistent = E.WasConsistent;
@@ -822,18 +861,27 @@ void DepGraph::unlinkOneEdge(DepNode &Source, DepNode &Sink) {
   // only reachable through scrubbed teardown paths.)
 }
 
-void DepGraph::relinkEdge(DepNode &Source, DepNode &Sink) {
+EdgeId DepGraph::relinkEdge(DepNode &Source, DepNode &Sink, EdgeId After) {
   EdgeId E = allocEdge();
-  linkEdge(E, Source, Sink);
+  linkEdge(E, Source, Sink, After);
   ++Stats.EdgesCreated;
   ++NumLiveEdges;
+  return E;
+}
+
+EdgeId DepGraph::lastPredecessor(const DepNode &Sink) const {
+  EdgeId Last;
+  for (EdgeId E = Sink.FirstPred; E; E = edge(E).NextPred)
+    Last = E;
+  return Last;
 }
 
 void DepGraph::relinkPredecessors(DepNode &Sink,
                                   const std::vector<DepNode *> &Sources) {
   StateGuard Guard(*this);
-  for (auto It = Sources.rbegin(); It != Sources.rend(); ++It)
-    relinkEdge(**It, Sink);
+  EdgeId Tail = lastPredecessor(Sink);
+  for (DepNode *Source : Sources)
+    Tail = relinkEdge(*Source, Sink, Tail);
 }
 
 //===----------------------------------------------------------------------===//
@@ -949,8 +997,10 @@ std::vector<std::string> DepGraph::verify() const {
       // sink parked in an inconsistent set will re-execute and rebuild
       // its level, and a source flagged ReadMidExecution may keep
       // inverted successor edges even at quiescence when its value did
-      // not change (so the readers were never re-queued).
-      if (isLiveNode(E.Sink) && !N->ReadMidExecution) {
+      // not change (so the readers were never re-queued). An old edge an
+      // executing sink has not read again is not audited at all.
+      if (isLiveNode(E.Sink) && !N->ReadMidExecution &&
+          !isUnconfirmed(EId)) {
         const DepNode &Sink = node(E.Sink);
         if (!Sink.InQueue && N->ExecStamp < Sink.ExecStamp &&
             Sink.Level <= N->Level)
@@ -961,6 +1011,11 @@ std::vector<std::string> DepGraph::verify() const {
       }
       EId = E.NextSucc;
     }
+    // The cursor: none on an idle node, and on an executing one it names
+    // an edge of the node's own predecessor list.
+    if (N->PredCursor && !N->Executing)
+      Bad.push_back("idle node '" + Name(*N) + "' holds a predecessor cursor");
+    bool CursorSeen = !N->PredCursor;
     for (EdgeId EId = N->FirstPred; EId;) {
       if (!isLiveEdge(EId)) {
         Bad.push_back("predecessor list of '" + Name(*N) +
@@ -969,6 +1024,7 @@ std::vector<std::string> DepGraph::verify() const {
       }
       const Edge &E = edge(EId);
       ++PredEdges;
+      CursorSeen |= EId == N->PredCursor;
       if (E.Sink != N->Id)
         Bad.push_back("predecessor edge of '" + Name(*N) +
                       "' has a different sink");
@@ -977,6 +1033,9 @@ std::vector<std::string> DepGraph::verify() const {
                       "' has a broken back link");
       EId = E.NextPred;
     }
+    if (!CursorSeen)
+      Bad.push_back("predecessor cursor of '" + Name(*N) +
+                    "' is not on its predecessor list");
   }
   if (Nodes != NumLiveNodes)
     Bad.push_back("live node count " + std::to_string(NumLiveNodes) +

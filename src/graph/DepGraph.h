@@ -58,19 +58,28 @@ public:
   /// Records that \p Sink depends on \p Source and unites their partitions.
   /// Duplicate edges within Sink's current execution are skipped when
   /// Config::DedupEdges is set. Also raises Sink's level above Source's.
+  /// While Sink executes, a read of the same source as the next edge its
+  /// previous execution recorded keeps that edge (it only advances Sink's
+  /// cursor: no allocation, linkage, union or journal entry); any other
+  /// read links a new edge at the cursor, so the predecessor list stays in
+  /// read order.
   void addDependency(DepNode &Sink, DepNode &Source);
 
-  /// Detaches every predecessor edge of \p Sink (Algorithm 5's
-  /// RemovePredEdges, run before re-executing a procedure so the new
-  /// execution records a fresh referenced-argument set R(p)).
+  /// Detaches every predecessor edge of \p Sink (node teardown; the
+  /// execution protocol retracts only the edges a re-execution did not
+  /// read again, see endExecution).
   void removePredEdges(DepNode &Sink);
 
   /// Marks the start of an execution of procedure node \p Proc: sets
   /// consistent(Proc) (Algorithm 5), clears its level, stamps it for edge
-  /// dedup, and flags it as executing.
+  /// dedup, flags it as executing, and sets its cursor before the first
+  /// edge of the previous execution's reads.
   void beginExecution(DepNode &Proc);
 
-  /// Marks the end of the current execution of \p Proc. If the node was
+  /// Marks the end of the current execution of \p Proc, also when its
+  /// body threw: retracts the previous execution's edges that this one
+  /// did not read again (Algorithm 5's RemovePredEdges, deferred to the
+  /// end so the reads it repeats keep their edges). If the node was
   /// invalidated while it ran (e.g. it wrote storage it also reads), it
   /// stays inconsistent and is left queued for a later round.
   void endExecution(DepNode &Proc);
@@ -158,14 +167,14 @@ public:
   /// under dynamic construction such a node would not exist yet.
   bool settleUnobservedWrite(DepNode &N);
 
-  /// Bulk raw edge linkage: links every Source -> Sink edge in \p Sources
-  /// order under one StateGuard, with rollback-grade bookkeeping only (no
-  /// level recompute or dedup; partition unions are a sound over-merge).
-  /// \p Sources arrive front-to-back (capture order); linkage is
-  /// push-front, so this walks them in reverse to recover the original
-  /// predecessor-list order. Checkpoint restore and static-shape
-  /// instantiation (DESIGN.md §14) wire whole adjacency rows through here
-  /// instead of per-edge calls.
+  /// Bulk raw edge linkage: appends a Source -> Sink edge for each of
+  /// \p Sources, in order, to the end of \p Sink's predecessor list under
+  /// one StateGuard, with rollback-grade bookkeeping only (no level
+  /// recompute or dedup; partition unions are a sound over-merge).
+  /// Checkpoint restore wires whole adjacency rows through here instead
+  /// of per-edge calls; as the rows are in read order, the first
+  /// re-execution after a restore that reads the same sources keeps every
+  /// edge.
   void relinkPredecessors(DepNode &Sink, const std::vector<DepNode *> &Sources);
 
   /// Invariant audit over the whole graph: live node/edge counts, table
@@ -219,11 +228,21 @@ private:
   /// After a wave reaches full quiescence: clears every stale mark.
   void clearStaleMarks();
 
+  /// Unlinks and frees every predecessor edge of \p Sink after \p After
+  /// (all of them when \p After is null), journaling the retracted
+  /// sources as one PredsRemoved entry inside a batch. The one retraction
+  /// routine: endExecution passes the cursor, teardown passes null.
+  void retractPredsAfter(DepNode &Sink, EdgeId After);
+
   void applyUndo(UndoEntry &E);
-  /// Recreates one edge raw during rollback: links only, no level /
+  /// Recreates one edge raw, right after \p After in \p Sink's
+  /// predecessor list (rollback and restore): links only, no level /
   /// partition / dedup bookkeeping (levels and stamps are restored by
   /// ExecSnapshot entries; partition unions are a sound over-merge).
-  void relinkEdge(DepNode &Source, DepNode &Sink);
+  /// \returns the new edge.
+  EdgeId relinkEdge(DepNode &Source, DepNode &Sink, EdgeId After);
+  /// The last edge of \p Sink's predecessor list (null when empty).
+  EdgeId lastPredecessor(const DepNode &Sink) const;
   /// Unlinks one Source -> Sink edge during rollback (no-op if none
   /// remains, e.g. the sink re-executed later in the batch).
   void unlinkOneEdge(DepNode &Source, DepNode &Sink);
@@ -295,9 +314,13 @@ private:
 
 template <typename Fn> void DepNode::forEachPredecessor(Fn F) const {
   assert(Graph && "node not attached to a graph");
+  if (Executing && !PredCursor)
+    return; // Nothing read yet by the current execution.
   for (EdgeId E = FirstPred; E;) {
     const Edge &Ed = Graph->edge(E);
     F(Graph->node(Ed.Source));
+    if (E == PredCursor)
+      break; // The rest are old reads not yet read again.
     E = Ed.NextPred;
   }
 }
@@ -306,7 +329,8 @@ template <typename Fn> void DepNode::forEachSuccessor(Fn F) const {
   assert(Graph && "node not attached to a graph");
   for (EdgeId E = FirstSucc; E;) {
     const Edge &Ed = Graph->edge(E);
-    F(Graph->node(Ed.Sink));
+    if (!Graph->isUnconfirmed(E))
+      F(Graph->node(Ed.Sink));
     E = Ed.NextSucc;
   }
 }

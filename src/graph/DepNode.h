@@ -46,7 +46,10 @@ class DepNode;
 /// successor list and the sink's predecessor list, so a single edge unlinks
 /// in O(1). Section 9.2 of the paper requires exactly this ("a doubly
 /// linked list of bidirectional edges") so that edge removal at procedure
-/// re-execution can be charged to edge creation.
+/// re-execution can be charged to edge creation. A sink's predecessor list
+/// is kept in read order, so a re-execution that reads the same sources
+/// again walks it with a cursor and keeps those edges (DepGraph's
+/// addDependency); only the reads it no longer makes are unlinked.
 struct Edge {
   NodeId Source;
   NodeId Sink;
@@ -152,10 +155,13 @@ public:
   size_t numSuccessors() const;
 
   /// Invokes \p F on every dependency source recorded by the most recent
-  /// execution (most recently recorded first). Defined in DepGraph.h (the
-  /// walk resolves EdgeIds through the graph's edge table).
+  /// execution, in read order. While the node executes, that is the
+  /// sources the current execution has read so far. Defined in DepGraph.h
+  /// (the walk resolves EdgeIds through the graph's edge table).
   template <typename Fn> void forEachPredecessor(Fn F) const;
-  /// Invokes \p F on every dependent node. Defined in DepGraph.h.
+  /// Invokes \p F on every dependent node. An executing dependent counts
+  /// only once its current execution has read this node. Defined in
+  /// DepGraph.h.
   template <typename Fn> void forEachSuccessor(Fn F) const;
 
   /// Debug label used in dumps and diagnostics.
@@ -243,6 +249,11 @@ private:
   /// Watchdog strikes: single evaluations of this node that each consumed
   /// an entire wave deadline (quarantined at Config::WatchdogTrips).
   uint32_t DeadlineBlows = 0;
+  /// While executing: the last predecessor edge the current execution has
+  /// read (null before its first read). The edges after it are the
+  /// previous execution's reads not yet read again; endExecution retracts
+  /// them. Null whenever the node is idle.
+  EdgeId PredCursor;
   /// As a dependency source: the sink/stamp of the most recent edge created
   /// from this node, used to skip duplicate edges when one execution reads
   /// the same location repeatedly.

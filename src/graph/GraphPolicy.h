@@ -292,15 +292,18 @@ protected:
   /// parallel eligibility.
   void untagSerialPartition(DepNode &N);
 
-  /// Queues every dependent of \p N (change notification, Section 4.4).
-  /// Guarded: a sibling wave worker recording a new dependency on \p N
-  /// pushes onto N's successor list concurrently with this walk.
+  /// Queues every dependent of \p N (change notification, Section 4.4),
+  /// skipping executing dependents that have not read \p N again yet
+  /// (GraphStore::isUnconfirmed). Guarded: a sibling wave worker recording
+  /// a new dependency on \p N pushes onto N's successor list concurrently
+  /// with this walk.
   void enqueueSuccessors(DepNode &N) {
     StateGuard Guard(*this);
     for (EdgeId E = N.FirstSucc; E;) {
       const Edge &Ed = edge(E);
       EdgeId Next = Ed.NextSucc;
-      markInconsistent(node(Ed.Sink));
+      if (!isUnconfirmed(E))
+        markInconsistent(node(Ed.Sink));
       E = Next;
     }
   }

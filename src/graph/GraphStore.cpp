@@ -29,16 +29,26 @@ GraphStore::GraphStore(Statistics &Stats, GraphConfig Cfg)
 }
 
 size_t GraphStore::numPredecessors(const DepNode &N) const {
+  StateGuard Guard(*this);
+  // While N executes, only the edges up to its cursor are current.
+  if (N.Executing && !N.PredCursor)
+    return 0;
   size_t Count = 0;
-  for (EdgeId E = N.FirstPred; E; E = EdgeTab.edge(E).NextPred)
+  for (EdgeId E = N.FirstPred; E; E = EdgeTab.edge(E).NextPred) {
     ++Count;
+    if (E == N.PredCursor)
+      break;
+  }
   return Count;
 }
 
 size_t GraphStore::numSuccessors(const DepNode &N) const {
+  // Guarded: the walk reads the cursors of sinks other workers execute.
+  StateGuard Guard(*this);
   size_t Count = 0;
   for (EdgeId E = N.FirstSucc; E; E = EdgeTab.edge(E).NextSucc)
-    ++Count;
+    if (!isUnconfirmed(E))
+      ++Count;
   return Count;
 }
 

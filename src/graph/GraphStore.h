@@ -311,6 +311,8 @@ public:
   /// Bytes reserved by the edge table: the graph.edge_bytes statistic.
   size_t edgeSlabBytes() const { return EdgeTab.bytesReserved(); }
 
+  /// Edge counts that skip the old reads an executing sink has not read
+  /// again (see isUnconfirmed). O(edges).
   size_t numPredecessors(const DepNode &N) const;
   size_t numSuccessors(const DepNode &N) const;
 
@@ -391,8 +393,9 @@ protected:
   void freeEdgeSlot(EdgeId Id) { EdgeTab.free(Id); }
 
   /// Pushes edge \p Id onto the front of \p Source's successor list and
-  /// \p Sink's predecessor list, setting every edge field.
-  void linkEdge(EdgeId Id, DepNode &Source, DepNode &Sink) {
+  /// links it into \p Sink's predecessor list right after \p After (at
+  /// the front when \p After is null), setting every edge field.
+  void linkEdge(EdgeId Id, DepNode &Source, DepNode &Sink, EdgeId After) {
     Edge &E = EdgeTab.edge(Id);
     E.Source = Source.Id;
     E.Sink = Sink.Id;
@@ -402,12 +405,35 @@ protected:
     if (Source.FirstSucc)
       EdgeTab.edge(Source.FirstSucc).PrevSucc = Id;
     Source.FirstSucc = Id;
-    // Push onto the sink's predecessor list.
-    E.NextPred = Sink.FirstPred;
-    E.PrevPred = EdgeId();
-    if (Sink.FirstPred)
-      EdgeTab.edge(Sink.FirstPred).PrevPred = Id;
-    Sink.FirstPred = Id;
+    // Insert into the sink's predecessor list.
+    EdgeId &Slot = After ? EdgeTab.edge(After).NextPred : Sink.FirstPred;
+    E.NextPred = Slot;
+    E.PrevPred = After;
+    if (Slot)
+      EdgeTab.edge(Slot).PrevPred = Id;
+    Slot = Id;
+  }
+
+  /// True when \p Id is an edge into an executing sink that the sink's
+  /// previous execution recorded and its current one has not read again.
+  /// By the paper's model such an edge no longer exists (Algorithm 5
+  /// retracts every predecessor edge before the body runs), so every
+  /// successor walk skips it; endExecution unlinks it unless a read
+  /// confirms it first. O(1) when
+  /// the sink is idle, which is almost always; otherwise a walk back to
+  /// the sink's cursor.
+  bool isUnconfirmed(EdgeId Id) const {
+    const Edge &E = EdgeTab.edge(Id);
+    const DepNode &Sink = NodeTab.node(E.Sink);
+    if (!Sink.Executing || Id == Sink.PredCursor)
+      return false;
+    if (!Sink.PredCursor)
+      return true;
+    // The unconfirmed edges are exactly those after the cursor.
+    for (EdgeId P = E.PrevPred; P; P = EdgeTab.edge(P).PrevPred)
+      if (P == Sink.PredCursor)
+        return true;
+    return false;
   }
 
   /// Detaches edge \p Id from both intrusive lists (slot not freed).

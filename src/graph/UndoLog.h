@@ -54,8 +54,10 @@ struct UndoEntry {
     Action,
     /// An edge Source -> Sink was created; rollback unlinks one such edge.
     EdgeAdded,
-    /// Sink's predecessor edges were detached (Algorithm 5's
-    /// RemovePredEdges before a re-execution); rollback relinks them.
+    /// The tail of Sink's predecessor list was retracted: the old edges
+    /// a re-execution did not read again (Algorithm 5's RemovePredEdges,
+    /// done at endExecution), or every edge. Rollback appends Sources
+    /// back to the list in order.
     PredsRemoved,
     /// Sink entered beginExecution(); rollback restores its Consistent /
     /// Level / ExecStamp / Version to the recorded pre-execution values.

@@ -484,7 +484,6 @@ Value Interp::executeInstance(InterpProcNode &N) {
   // value lives here in the interpreter, so restore it via an Action.
   if (G.inBatch())
     G.logUndo([&N, Old = N.Cached]() { N.Cached = Old; });
-  G.removePredEdges(N);
   // RAII protocol frames: a throwing body (runtime error, poisoned callee,
   // injected fault) unwinds with the graph and call stack coherent; the
   // instance is quarantined and the exception continues to the caller.

@@ -23,7 +23,8 @@ namespace alphonse {
 namespace {
 
 constexpr char kMagic[8] = {'A', 'L', 'F', 'C', 'K', 'P', 'T', '\0'};
-constexpr uint32_t kFormatVersion = 1;
+/// Version 2 added the per-node ReadMid byte of the graph snapshot.
+constexpr uint32_t kFormatVersion = 2;
 constexpr size_t kHeaderBytes = 32;   // magic + version + count + id + crc+pad
 constexpr size_t kTableEntryBytes = 32;
 constexpr uint32_t kMaxSections = 1024;

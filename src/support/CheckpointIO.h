@@ -14,7 +14,7 @@
 /// Layout of a snapshot file:
 ///
 ///   offset 0   magic "ALFCKPT\0"                        (8 bytes)
-///   offset 8   format version (u32, currently 1)
+///   offset 8   format version (u32, currently 2)
 ///   offset 12  section count (u32)
 ///   offset 16  snapshot id (u64, unique per written snapshot)
 ///   offset 24  CRC32 of the section table (u32) + u32 padding

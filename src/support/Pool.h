@@ -8,9 +8,10 @@
 /// \file
 /// Allocation fast path for the dependency graph's hot bookkeeping
 /// (DESIGN.md "Parallel propagation", allocation section). Edge churn
-/// dominates beginExecution/endExecution — every re-execution retracts and
-/// re-records the instance's referenced-argument set — so Edge objects come
-/// from Pool<Edge>: a type-local free list layered over BumpArena chunks.
+/// dominates beginExecution/endExecution — every re-execution records the
+/// reads it makes anew and retracts the ones it no longer makes — so Edge
+/// objects come from Pool<Edge>: a type-local free list layered over
+/// BumpArena chunks.
 /// Allocation is a pointer bump or a free-list pop; deallocation is a
 /// free-list push; nothing is returned to the system until the pool dies.
 ///

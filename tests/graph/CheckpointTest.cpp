@@ -85,6 +85,29 @@ TEST(CheckpointTest, RoundtripPreservesValuesAndGraph) {
   EXPECT_EQ(B.Sum(7), 7 + 1 + 11 + 21 + 1000 + 41 + 51 + 61 + 71);
 }
 
+TEST(CheckpointTest, RestoreKeepsPredecessorReadOrder) {
+  // Restore relinks each predecessor list in its captured read order, so
+  // the first re-execution that reads the same sources keeps every edge.
+  TempCheckpoint File("ckpt-read-order");
+  CheckpointHost A(8);
+  A.touchAll();
+  A.save(File.path());
+
+  CheckpointHost B(8);
+  B.restore(File.path());
+  ASSERT_TRUE(B.RT.graph().verify().empty());
+  const uint64_t Execs = B.RT.stats().ProcExecutions.total();
+  const uint64_t Created = B.RT.stats().EdgesCreated.total();
+  const uint64_t Removed = B.RT.stats().EdgesRemoved.total();
+  *B.Cells[0] = 7; // Every prefix sum reads cell 0.
+  B.touchAll();
+  EXPECT_EQ(B.RT.stats().ProcExecutions.total(), Execs + 8);
+  EXPECT_EQ(B.RT.stats().EdgesCreated.total(), Created);
+  EXPECT_EQ(B.RT.stats().EdgesRemoved.total(), Removed);
+  EXPECT_EQ(B.Sum(7), 7 + 7);
+  EXPECT_TRUE(B.RT.graph().verify().empty());
+}
+
 TEST(CheckpointTest, RoundtripPreservesConsistencyBits) {
   TempCheckpoint File("ckpt-consistency");
   CheckpointHost A(4);

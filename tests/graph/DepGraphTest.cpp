@@ -17,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 namespace alphonse {
 namespace {
@@ -39,7 +41,6 @@ struct FakeProc final : DepNode {
       : DepNode(G, NodeKind::Procedure, S) {}
   bool reexecute() override {
     ++Reexecutions;
-    graph().removePredEdges(*this);
     graph().beginExecution(*this);
     graph().endExecution(*this);
     return NextChanged;
@@ -374,6 +375,175 @@ TEST_F(DepGraphTest, DemandOnlyChurnKeepsDrainRootListBounded) {
     G.evaluateAll();
     EXPECT_EQ(G.numDirtyRoots(), 0u);
     EXPECT_FALSE(PB.isConsistent());
+  }
+}
+
+/// The sources of \p P's predecessor list, front to back.
+static std::vector<const DepNode *> predsOf(const DepNode &P) {
+  std::vector<const DepNode *> Out;
+  P.forEachPredecessor([&](const DepNode &S) { Out.push_back(&S); });
+  return Out;
+}
+
+TEST_F(DepGraphTest, RereadingTheSameSourcesKeepsEveryEdge) {
+  DepGraph G(Stats);
+  {
+    FakeStorage S1(G), S2(G), S3(G);
+    FakeProc P(G);
+    G.beginExecution(P);
+    G.addDependency(P, S1);
+    G.addDependency(P, S2);
+    G.addDependency(P, S3);
+    G.endExecution(P);
+    using Row = std::vector<const DepNode *>;
+    EXPECT_EQ(predsOf(P), (Row{&S1, &S2, &S3})); // Read order.
+
+    const uint64_t Created = Stats.EdgesCreated.total();
+    const uint64_t Removed = Stats.EdgesRemoved.total();
+    G.beginExecution(P);
+    G.addDependency(P, S1);
+    G.addDependency(P, S2);
+    G.addDependency(P, S3);
+    G.endExecution(P);
+    EXPECT_EQ(Stats.EdgesCreated.total(), Created);
+    EXPECT_EQ(Stats.EdgesRemoved.total(), Removed);
+    EXPECT_EQ(predsOf(P), (Row{&S1, &S2, &S3}));
+    EXPECT_EQ(S2.numSuccessors(), 1u);
+
+    // A partial match: S1 is kept, S3 and the new S4 are linked at the
+    // cursor, and the old S2 and S3 edges after it are retracted.
+    FakeStorage S4(G);
+    G.beginExecution(P);
+    G.addDependency(P, S1);
+    G.addDependency(P, S3);
+    G.addDependency(P, S4);
+    G.endExecution(P);
+    EXPECT_EQ(Stats.EdgesCreated.total(), Created + 2);
+    EXPECT_EQ(Stats.EdgesRemoved.total(), Removed + 2);
+    EXPECT_EQ(predsOf(P), (Row{&S1, &S3, &S4}));
+    EXPECT_EQ(S2.numSuccessors(), 0u);
+    EXPECT_EQ(G.numLiveEdges(), 3u);
+    EXPECT_TRUE(G.verify().empty());
+  }
+}
+
+TEST_F(DepGraphTest, SourceChangedBeforeItsRereadDoesNotInvalidate) {
+  DepGraph G(Stats);
+  {
+    FakeStorage S(G), T(G);
+    FakeProc P(G);
+    G.beginExecution(P);
+    G.addDependency(P, S);
+    G.addDependency(P, T);
+    G.endExecution(P);
+
+    G.beginExecution(P);
+    // Not read again yet, so by the paper's model P does not depend on S
+    // or T: their successor walks skip P.
+    EXPECT_EQ(S.numSuccessors(), 0u);
+    EXPECT_EQ(P.numPredecessors(), 0u);
+    G.markInconsistent(S);
+    G.evaluateAll();
+    EXPECT_TRUE(P.isConsistent());
+    EXPECT_EQ(G.numPending(), 0u);
+    EXPECT_TRUE(G.verify().empty());
+    const uint64_t Created = Stats.EdgesCreated.total();
+    G.addDependency(P, S);
+    G.addDependency(P, T);
+    G.endExecution(P);
+    EXPECT_TRUE(P.isConsistent());
+    EXPECT_EQ(Stats.EdgesCreated.total(), Created);
+    EXPECT_EQ(S.numSuccessors(), 1u);
+
+    // Once read again, a change reaches P as usual.
+    G.beginExecution(P);
+    G.addDependency(P, S);
+    G.markInconsistent(S);
+    G.evaluateAll();
+    EXPECT_FALSE(P.isConsistent());
+    G.addDependency(P, T);
+    G.endExecution(P);
+  }
+}
+
+TEST_F(DepGraphTest, SourceDestroyedMidExecutionMovesTheCursor) {
+  DepGraph G(Stats);
+  {
+    auto A = std::make_unique<FakeStorage>(G);
+    auto B = std::make_unique<FakeStorage>(G);
+    FakeStorage C(G);
+    FakeProc P(G);
+    G.beginExecution(P);
+    G.addDependency(P, *A);
+    G.addDependency(P, *B);
+    G.addDependency(P, C);
+    G.endExecution(P);
+
+    G.beginExecution(P);
+    // B dies before P reads it again: P never depended on it this time.
+    B.reset();
+    EXPECT_EQ(G.numPending(), 0u);
+    G.addDependency(P, *A);
+    // A dies after the re-read: P loses a current dependency, and its
+    // cursor steps back off the dead edge.
+    A.reset();
+    EXPECT_EQ(G.numPending(), 1u);
+    EXPECT_TRUE(G.verify().empty());
+    const uint64_t Created = Stats.EdgesCreated.total();
+    G.addDependency(P, C); // Still matches the old C edge.
+    G.endExecution(P);
+    EXPECT_EQ(Stats.EdgesCreated.total(), Created);
+    EXPECT_EQ(P.numPredecessors(), 1u);
+    G.evaluateAll();
+    EXPECT_FALSE(P.isConsistent());
+    EXPECT_TRUE(G.verify().empty());
+  }
+}
+
+TEST_F(DepGraphTest, WriteSettlesWhenOnlyAnUnconfirmedEdgeObservesIt) {
+  DepGraph G(Stats);
+  {
+    FakeStorage S(G);
+    FakeProc P(G);
+    recordRead(G, P, S);
+    EXPECT_FALSE(G.settleUnobservedWrite(S)); // P depends on S.
+
+    G.beginExecution(P);
+    EXPECT_TRUE(G.settleUnobservedWrite(S)); // P has not read S again.
+    EXPECT_EQ(S.Refreshes, 1);
+    G.addDependency(P, S);
+    EXPECT_FALSE(G.settleUnobservedWrite(S)); // Now it has.
+    G.endExecution(P);
+    EXPECT_TRUE(P.isConsistent());
+    EXPECT_EQ(G.numPending(), 0u);
+  }
+}
+
+TEST_F(DepGraphTest, ThrowingBodyKeepsItsConfirmedPrefix) {
+  DepGraph G(Stats);
+  {
+    FakeStorage S1(G), S2(G), S3(G);
+    FakeProc P(G);
+    G.beginExecution(P);
+    G.addDependency(P, S1);
+    G.addDependency(P, S2);
+    G.addDependency(P, S3);
+    G.endExecution(P);
+
+    const uint64_t Created = Stats.EdgesCreated.total();
+    auto Body = [&] {
+      ExecutionScope Exec(G, P);
+      G.addDependency(P, S1);
+      G.addDependency(P, S2);
+      throw std::runtime_error("body failed");
+    };
+    EXPECT_THROW(Body(), std::runtime_error);
+    using Row = std::vector<const DepNode *>;
+    EXPECT_EQ(predsOf(P), (Row{&S1, &S2}));
+    EXPECT_EQ(S3.numSuccessors(), 0u);
+    EXPECT_EQ(Stats.EdgesCreated.total(), Created);
+    EXPECT_FALSE(P.isExecuting());
+    EXPECT_TRUE(G.verify().empty());
   }
 }
 

@@ -18,13 +18,17 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Alphonse.h"
+#include "graph/DepGraph.h"
 #include "support/FaultInjector.h"
 #include "trees/HeightTree.h"
 #include "trees/ManualHeightTree.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 namespace alphonse {
@@ -209,6 +213,82 @@ TEST(TransactionStressTest, RandomBatchesAgainstManualOracle) {
   EXPECT_EQ(F.RT.stats().TxnBegun,
             static_cast<uint64_t>(NumBatches));
   EXPECT_EQ(F.RT.stats().TxnCommitted, static_cast<uint64_t>(Committed));
+}
+
+struct StubStorage final : DepNode {
+  explicit StubStorage(DepGraph &G) : DepNode(G, NodeKind::Storage) {}
+  bool refreshStorage() override { return true; }
+};
+
+struct StubProc final : DepNode {
+  explicit StubProc(DepGraph &G) : DepNode(G, NodeKind::Procedure) {}
+};
+
+/// \p P's predecessor sources as a sorted multiset of handle bits.
+std::vector<uint32_t> predMultiset(const DepNode &P) {
+  std::vector<uint32_t> Out;
+  P.forEachPredecessor([&](const DepNode &S) { Out.push_back(S.id().bits()); });
+  std::sort(Out.begin(), Out.end());
+  return Out;
+}
+
+TEST(TransactionStressTest, RollbackAfterPartialEdgeMatchRestoresPredecessors) {
+  // Re-executions inside a batch keep the old edges they read again, link
+  // new ones at the cursor, and retract the rest; rollback must restore
+  // every predecessor list exactly, duplicates included.
+  Statistics Stats;
+  DepGraph G(Stats);
+  std::vector<std::unique_ptr<StubStorage>> Sources;
+  for (int I = 0; I < 5; ++I)
+    Sources.push_back(std::make_unique<StubStorage>(G));
+  StubProc P(G), Q(G);
+  std::mt19937 Rng(0xC0FFEE); // Fixed seed: deterministic replay.
+
+  // One execution of P with random reads. Q's reads in between defeat P's
+  // edge dedup, so P's list can hold one source more than once.
+  uint64_t Reads = 0;
+  auto ExecuteP = [&] {
+    G.beginExecution(P);
+    int N = static_cast<int>(Rng() % 7);
+    for (int I = 0; I < N; ++I) {
+      DepNode &S = *Sources[Rng() % Sources.size()];
+      if (Rng() % 4 == 0) {
+        G.beginExecution(Q);
+        G.addDependency(Q, S);
+        G.endExecution(Q);
+        ++Reads;
+      }
+      G.addDependency(P, S);
+      ++Reads;
+    }
+    G.endExecution(P);
+  };
+
+  int PartialMatches = 0;
+  for (int Trial = 0; Trial < 300; ++Trial) {
+    ExecuteP();
+    std::vector<uint32_t> BeforeP = predMultiset(P);
+    std::vector<uint32_t> BeforeQ = predMultiset(Q);
+    // Every read is deduplicated, keeps an old edge, or creates one.
+    const uint64_t Created = Stats.EdgesCreated.total();
+    const uint64_t Deduped = Stats.EdgesDeduped.total();
+    const uint64_t Retracted = Stats.EdgesRemoved.total();
+    Reads = 0;
+    G.beginBatch();
+    int Runs = 1 + static_cast<int>(Rng() % 3);
+    for (int I = 0; I < Runs; ++I)
+      ExecuteP();
+    const uint64_t Kept = Reads - (Stats.EdgesCreated.total() - Created) -
+                          (Stats.EdgesDeduped.total() - Deduped);
+    PartialMatches += Kept != 0 && Stats.EdgesRemoved.total() != Retracted;
+    G.rollbackBatch();
+    ASSERT_EQ(predMultiset(P), BeforeP) << "trial " << Trial;
+    ASSERT_EQ(predMultiset(Q), BeforeQ) << "trial " << Trial;
+    std::vector<std::string> Bad = G.verify();
+    ASSERT_TRUE(Bad.empty()) << Bad.front();
+  }
+  // The schedule does mix kept and retracted edges in one batch.
+  EXPECT_GT(PartialMatches, 50);
 }
 
 } // namespace

@@ -114,6 +114,157 @@ TEST(InterpCheckpointTest, RoundtripPreservesGlobalsHeapCachesAndOutput) {
   EXPECT_FALSE(B.failed());
 }
 
+// A self-balancing tree in the paper's style (Algorithm 11): inserts build
+// an unbalanced BST, and the maintained balance() method rebalances it on
+// demand. Balance reads subtrees whose own balance() is still running.
+const char *AvlProgram = R"(
+TYPE Tree = OBJECT
+  left, right : Tree;
+  key : INTEGER;
+METHODS
+  (*MAINTAINED*) height() : INTEGER := Height;
+  (*MAINTAINED*) balance() : Tree := Balance;
+END;
+
+TYPE TreeNil = Tree OBJECT
+OVERRIDES
+  (*MAINTAINED*) height := HeightNil;
+  (*MAINTAINED*) balance := BalanceNil;
+END;
+
+VAR nil : Tree;
+VAR root : Tree;
+
+PROCEDURE Height(t : Tree) : INTEGER =
+BEGIN
+  RETURN max(t.left.height(), t.right.height()) + 1;
+END Height;
+
+PROCEDURE HeightNil(t : Tree) : INTEGER = BEGIN RETURN 0; END HeightNil;
+
+PROCEDURE Diff(t : Tree) : INTEGER =
+BEGIN
+  RETURN t.left.height() - t.right.height();
+END Diff;
+
+PROCEDURE RotateRight(t : Tree) : Tree =
+VAR s : Tree;
+BEGIN
+  s := t.left;
+  t.left := s.right;
+  s.right := t;
+  RETURN s;
+END RotateRight;
+
+PROCEDURE RotateLeft(t : Tree) : Tree =
+VAR s : Tree;
+BEGIN
+  s := t.right;
+  t.right := s.left;
+  s.left := t;
+  RETURN s;
+END RotateLeft;
+
+PROCEDURE Balance(t : Tree) : Tree =
+VAR u : Tree;
+BEGIN
+  t.left := t.left.balance();
+  t.right := t.right.balance();
+  u := t;
+  IF Diff(u) > 1 THEN
+    IF Diff(u.left) < 0 THEN
+      u.left := RotateLeft(u.left);
+    END;
+    u := RotateRight(u);
+    RETURN u.balance();
+  ELSIF Diff(u) < -1 THEN
+    IF Diff(u.right) > 0 THEN
+      u.right := RotateRight(u.right);
+    END;
+    u := RotateLeft(u);
+    RETURN u.balance();
+  END;
+  RETURN u;
+END Balance;
+
+PROCEDURE BalanceNil(t : Tree) : Tree = BEGIN RETURN t; END BalanceNil;
+
+PROCEDURE Init() =
+BEGIN
+  nil := NEW(TreeNil);
+  root := nil;
+END Init;
+
+PROCEDURE Insert(k : INTEGER) =
+VAR t, p : Tree;
+BEGIN
+  p := NEW(Tree);
+  p.key := k;
+  p.left := nil;
+  p.right := nil;
+  IF root = nil THEN
+    root := p;
+    RETURN;
+  END;
+  t := root;
+  WHILE TRUE DO
+    IF k < t.key THEN
+      IF t.left = nil THEN
+        t.left := p;
+        RETURN;
+      END;
+      t := t.left;
+    ELSE
+      IF t.right = nil THEN
+        t.right := p;
+        RETURN;
+      END;
+      t := t.right;
+    END;
+  END;
+END Insert;
+
+PROCEDURE Rebalance() = BEGIN root := root.balance(); END Rebalance;
+
+PROCEDURE RootHeight() : INTEGER = BEGIN RETURN root.height(); END RootHeight;
+)";
+
+TEST(InterpCheckpointTest, RestoreAfterFirstRebalanceOfBulkBuiltTree) {
+  // The first Rebalance of a bulk-built tree leaves nodes flagged as read
+  // mid-execution, which exempts their edges from the level audit of
+  // verify(). The checkpoint must carry that flag, or the restored graph
+  // fails the audit the live graph passes.
+  TempCheckpoint File("interp-ckpt-rebalance");
+  auto C = compile(AvlProgram);
+  ASSERT_TRUE(C->ok()) << C->Diags.str();
+
+  Interp A(C->M, C->Info, ExecMode::Alphonse);
+  A.call("Init");
+  for (long K = 1; K <= 64; ++K)
+    A.call("Insert", {IV(K)});
+  A.call("Rebalance");
+  ASSERT_FALSE(A.failed());
+  ASSERT_TRUE(A.runtime().graph().verify().empty());
+  A.saveCheckpoint(File.path());
+
+  Interp B(C->M, C->Info, ExecMode::Alphonse);
+  B.restoreCheckpoint(File.path());
+  EXPECT_TRUE(B.runtime().graph().verify().empty());
+  EXPECT_EQ(B.call("RootHeight").Int, A.call("RootHeight").Int);
+  EXPECT_EQ(B.call("RootHeight").Int, 7);
+
+  // Both keep working alike after the round trip.
+  for (long K = 65; K <= 80; ++K) {
+    A.call("Insert", {IV(K)});
+    B.call("Insert", {IV(K)});
+  }
+  A.call("Rebalance");
+  B.call("Rebalance");
+  EXPECT_EQ(B.call("RootHeight").Int, A.call("RootHeight").Int);
+  EXPECT_FALSE(B.failed());
+  EXPECT_TRUE(B.runtime().graph().verify().empty());
+}
+
 TEST(InterpCheckpointTest, DeltaRoundtrip) {
   TempCheckpoint File("interp-ckpt-delta");
   auto C = compile(LedgerProgram);
